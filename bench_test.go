@@ -317,22 +317,6 @@ func BenchmarkCachedSelect(b *testing.B) {
 	}
 }
 
-// BenchmarkSelectCoveringParallel sweeps worker counts for the parallel
-// SELECT over the 50%-selectivity covering — the PR2 fan-out measurement.
-// workers=1 is the serial-fallback reference.
-func BenchmarkSelectCoveringParallel(b *testing.B) {
-	e := newBenchEnv(b, 200_000)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := e.blk.SelectCoveringParallel(e.bigCov, e.specs, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkConcurrentCachedSelect drives one warm CachedBlock from
 // b.RunParallel goroutines — the lock-light read path under contention
 // (sharded statistics, atomic metrics, atomically published trie).
@@ -477,11 +461,13 @@ func BenchmarkStoreCrossShardQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreBatchQuery answers the polygon workload as one batch,
+// which the join operator serves (the /v1/query "polygons" form).
 func BenchmarkStoreBatchQuery(b *testing.B) {
 	e := newStoreBenchEnv(b, 150_000, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.ds.QueryBatch(e.polys, storeBenchReqs...); err != nil {
+		if _, _, err := e.ds.Join(e.polys, geoblocks.QueryOptions{}, storeBenchReqs...); err != nil {
 			b.Fatal(err)
 		}
 	}

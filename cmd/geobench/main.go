@@ -12,9 +12,10 @@
 // -perf-json runs the pr1 perf snapshot (prefix-sum SELECT fast path vs
 // the preserved scan ablation across block levels) and writes the raw
 // measurements to FILE; the committed BENCH_PR1.json is produced this way.
-// With -parallel it instead runs the pr2 parallel bench mode — queries/sec
-// at 1..GOMAXPROCS goroutines with and without the query cache, plus the
-// SelectCoveringParallel fan-out — producing the committed BENCH_PR2.json.
+// With -parallel it instead runs the pr2 concurrent-serving bench mode —
+// queries/sec at 1..GOMAXPROCS goroutines with and without the query
+// cache — the sweep behind the committed BENCH_PR2.json (whose parallel
+// SELECT columns record a kernel since removed).
 // With -sharded it runs the pr3 sharded-store bench mode — store-routed
 // queries/sec at shard levels 0..2 against the raw single-block kernel —
 // producing the committed BENCH_PR3.json. With -snapshot it runs the pr4

@@ -33,12 +33,12 @@
 // enabled, its own query cache), and every query method resolves
 // through one plan→execute pipeline driven by QueryOptions: MaxError
 // picks the coarsest pyramid level whose cell diagonal satisfies the
-// bound, Workers selects the serial or parallel kernel, DisableCache
-// bypasses the cache. Results report the level answered at and the
-// guaranteed error bound of the covering actually executed
-// (Result.Level, Result.ErrorBound); MaxError 0 — and every legacy
-// method, which wraps the pipeline with zero options — is bit-identical
-// to the exact path. LevelFor and AtLevel expose the planner's level
+// bound, DisableCache bypasses the cache. Results report the level
+// answered at and the guaranteed error bound of the covering actually
+// executed (Result.Level, Result.ErrorBound); MaxError 0 plans the base
+// level — every plain method wraps the pipeline with zero options — and
+// its ErrorBound can still be > 0 when the covering's cell budget
+// truncates refinement. LevelFor and AtLevel expose the planner's level
 // arithmetic to sharded routers.
 //
 // # Quick start
@@ -64,7 +64,7 @@
 //
 // For multi-dataset, multi-shard deployments the package exposes the
 // hooks a spatial router needs — SplitCovering to divide one covering
-// into per-shard sub-coverings and QueryCoveringPartial plus
+// into per-shard sub-coverings and QueryCoveringPartialOpts plus
 // Accumulator.MergeFrom to combine per-shard partial results exactly.
 // internal/store builds the sharded dataset registry on these hooks and
 // cmd/geoblocksd serves it over HTTP; docs/ARCHITECTURE.md shows the full

@@ -140,7 +140,7 @@ func resolveSpecs(schema Schema, reqs []AggRequest) ([]AggSpec, error) {
 // # Concurrency
 //
 // Any number of goroutines may call the query methods — Query, QueryRect,
-// QueryCovering, their *Parallel variants, Count, CountRect, and the read
+// QueryCovering, their *Opts forms, Count, CountRect, and the read
 // accessors — on one GeoBlock concurrently, with or without an enabled
 // cache. The cache path is lock-light: effectiveness counters are atomic,
 // query statistics are sharded, and the cache trie is published through an
@@ -233,26 +233,22 @@ func (g *GeoBlock) CoverRect(r Rect) []CellID {
 
 // QueryOptions are the unified knobs of the query planner. One options
 // struct replaces the combinatorial method matrix (Query/QueryRect/
-// QueryCovering × serial/parallel × cached/uncached): every query resolves
-// through one plan→execute pipeline, and the legacy signatures remain as
-// thin wrappers over it. The zero value reproduces the exact serial path
-// bit for bit.
+// QueryCovering × cached/uncached): every query resolves through one
+// plan→execute pipeline, and the plain signatures remain as thin
+// wrappers over it. The zero value reproduces Query bit for bit.
 type QueryOptions struct {
 	// MaxError is the acceptable spatial error bound in domain units.
-	// 0 answers exactly, at the base block level. A positive value lets
-	// the planner answer at the coarsest pyramid level (BuildPyramid)
-	// whose cell diagonal does not exceed it — a smaller covering and a
-	// cheaper query, the paper's accuracy-for-speed trade (Sec. 3.4).
-	// When no pyramid level satisfies the bound (or no pyramid is built)
-	// the planner answers at the base level; Result.ErrorBound always
-	// reports the bound actually achieved. Must be finite and >= 0.
+	// 0 plans the base block level. That is not a promise of an exact
+	// answer: a covering truncated by its MaxCells budget keeps boundary
+	// cells, so Result.ErrorBound can be > 0 even then. A positive value
+	// lets the planner answer at the coarsest pyramid level
+	// (BuildPyramid) whose cell diagonal does not exceed it — a smaller
+	// covering and a cheaper query, the paper's accuracy-for-speed trade
+	// (Sec. 3.4). When no pyramid level satisfies the bound (or no
+	// pyramid is built) the planner answers at the base level.
+	// Result.ErrorBound always reports the bound actually achieved. Must
+	// be finite and >= 0.
 	MaxError float64
-	// Workers selects the execution kernel: 0 or 1 runs the serial,
-	// cache-probing kernel; > 1 partitions large coverings across that
-	// many goroutines; < 0 uses GOMAXPROCS. The parallel kernel neither
-	// probes nor warms the query cache and falls back to the serial kernel
-	// for coverings too small to amortise the fan-out.
-	Workers int
 	// DisableCache answers directly from the aggregate arrays even when a
 	// query cache is enabled, leaving cache state and statistics
 	// untouched — for latency probes and cache-benefit measurements.
@@ -301,24 +297,21 @@ func (g *GeoBlock) planTarget(maxError float64) *GeoBlock {
 
 // execCovering is the single execution kernel behind every public query
 // method. Running on the plan's target block, it resolves the aggregate
-// requests against the schema, dispatches onto the parallel, cached or
-// plain serial kernel per the options, and stamps the achieved level and
-// guaranteed error bound into the result.
+// requests against the schema, answers through the query cache unless
+// there is none or the options disable it, and stamps the achieved level
+// and guaranteed error bound into the result.
 func (g *GeoBlock) execCovering(cov []CellID, bound float64, opts QueryOptions, reqs []AggRequest) (Result, error) {
 	specs, err := resolveSpecs(g.inner.Schema(), reqs)
 	if err != nil {
 		return Result{}, err
 	}
 	var res Result
-	switch {
-	case opts.Workers > 1 || opts.Workers < 0:
-		res, err = g.inner.SelectCoveringParallel(cov, specs, opts.Workers)
-	case g.cached != nil && !opts.DisableCache:
+	if g.cached != nil && !opts.DisableCache {
 		res, err = g.cached.Select(cov, specs)
 		if err == nil {
 			g.maybeAutoRefresh()
 		}
-	default:
+	} else {
 		res, err = g.inner.SelectCovering(cov, specs)
 	}
 	if err != nil {
@@ -332,9 +325,10 @@ func (g *GeoBlock) execCovering(cov []CellID, bound float64, opts QueryOptions, 
 // QueryOpts answers a SELECT aggregate query over a polygon through the
 // query planner: pick the coarsest pyramid level admitted by
 // opts.MaxError, compute the covering at that level, execute through the
-// kernel opts selects. The result reports the level answered at and the
-// guaranteed error bound of the covering actually executed (0 when the
-// covering is exact). QueryOpts with zero options is exactly Query.
+// query cache unless opts disables it. The result reports the level
+// answered at and the guaranteed error bound of the covering actually
+// executed (0 when the covering is exact). QueryOpts with zero options is
+// exactly Query.
 func (g *GeoBlock) QueryOpts(poly *Polygon, opts QueryOptions, reqs ...AggRequest) (Result, error) {
 	t, err := g.plan(opts)
 	if err != nil {
@@ -377,7 +371,7 @@ func (g *GeoBlock) coveringBound(cov []CellID) float64 {
 // Query answers a SELECT aggregate query over an arbitrary polygon.
 // COUNT/SUM/AVG combine each covering cell in O(1) from stored offsets and
 // prefix sums; MIN/MAX scan the covered aggregates with fused per-column
-// kernels. Query is QueryOpts with zero options: exact, serial, cached.
+// kernels. Query is QueryOpts with zero options: base level, cached.
 func (g *GeoBlock) Query(poly *Polygon, reqs ...AggRequest) (Result, error) {
 	return g.QueryOpts(poly, QueryOptions{}, reqs...)
 }
@@ -392,57 +386,17 @@ func (g *GeoBlock) QueryCovering(cov []CellID, reqs ...AggRequest) (Result, erro
 	return g.QueryCoveringOpts(cov, QueryOptions{}, reqs...)
 }
 
-// normalizeWorkers maps the legacy parallel-method convention (<= 0 means
-// GOMAXPROCS) onto QueryOptions.Workers (< 0 means GOMAXPROCS).
-func normalizeWorkers(workers int) int {
-	if workers <= 0 {
-		return -1
-	}
-	return workers
-}
-
-// QueryParallel answers a SELECT query over a polygon, partitioning a
-// large covering across worker goroutines (workers <= 0 means
-// GOMAXPROCS). Small coverings fall back to the serial kernel, so the
-// method is safe to use unconditionally. COUNT/MIN/MAX results are
-// bit-identical to Query; SUM/AVG differ only by floating-point
-// reassociation at the merge points (DESIGN.md Sec. 6). The parallel path
-// neither probes nor warms the query cache — it targets the huge
-// analytical coverings where splitting the scan beats pre-combined
-// records.
-func (g *GeoBlock) QueryParallel(poly *Polygon, workers int, reqs ...AggRequest) (Result, error) {
-	return g.QueryOpts(poly, QueryOptions{Workers: normalizeWorkers(workers), DisableCache: true}, reqs...)
-}
-
-// QueryRectParallel is QueryParallel over a rectangle.
-func (g *GeoBlock) QueryRectParallel(r Rect, workers int, reqs ...AggRequest) (Result, error) {
-	return g.QueryRectOpts(r, QueryOptions{Workers: normalizeWorkers(workers), DisableCache: true}, reqs...)
-}
-
-// QueryCoveringParallel is QueryParallel over a pre-computed covering.
-func (g *GeoBlock) QueryCoveringParallel(cov []CellID, workers int, reqs ...AggRequest) (Result, error) {
-	return g.QueryCoveringOpts(cov, QueryOptions{Workers: normalizeWorkers(workers), DisableCache: true}, reqs...)
-}
-
-// QueryCoveringPartial answers a SELECT query over a pre-computed covering
-// but stops before finalisation, returning the partial accumulator. It is
-// the per-shard hook of a sharded deployment (internal/store): a router
-// computes one covering, splits it with SplitCovering, runs one partial
-// per shard and merges them with Accumulator.MergeFrom before calling
-// Result. With an enabled cache the partial goes through the adapted cache
-// algorithm (probes, statistics and auto-refresh included), exactly like
-// Query.
-func (g *GeoBlock) QueryCoveringPartial(cov []CellID, reqs ...AggRequest) (*Accumulator, error) {
-	return g.QueryCoveringPartialOpts(cov, QueryOptions{}, reqs...)
-}
-
-// QueryCoveringPartialOpts is QueryCoveringPartial with options. Like the
-// other covering-taking forms it never re-plans the level — the sharded
-// router resolves the pyramid level once per query (LevelFor, AtLevel) and
-// computes one covering at it. Workers selects the in-shard kernel (the
-// parallel kernel bypasses the cache, falls back to serial for small
-// sub-coverings, and composes with the router's per-shard fan-out);
-// DisableCache bypasses the cache on the serial path.
+// QueryCoveringPartialOpts answers a SELECT query over a pre-computed
+// covering but stops before finalisation, returning the partial
+// accumulator. It is the per-shard hook of a sharded deployment
+// (internal/store): a router computes one covering, splits it with
+// SplitCovering, runs one partial per shard and merges them with
+// Accumulator.MergeFrom before calling Result. Like the other
+// covering-taking forms it never re-plans the level — the router resolves
+// the pyramid level once per query (LevelFor, AtLevel) and computes one
+// covering at it. With an enabled cache the partial goes through the
+// adapted cache algorithm (probes, statistics and auto-refresh included),
+// exactly like Query; DisableCache reads the aggregate arrays directly.
 func (g *GeoBlock) QueryCoveringPartialOpts(cov []CellID, opts QueryOptions, reqs ...AggRequest) (*Accumulator, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -450,9 +404,6 @@ func (g *GeoBlock) QueryCoveringPartialOpts(cov []CellID, opts QueryOptions, req
 	specs, err := resolveSpecs(g.inner.Schema(), reqs)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Workers > 1 || opts.Workers < 0 {
-		return g.inner.SelectCoveringPartialParallel(cov, specs, opts.Workers)
 	}
 	if g.cached != nil && !opts.DisableCache {
 		acc, err := g.cached.SelectPartial(cov, specs)
@@ -470,11 +421,12 @@ func (g *GeoBlock) QueryCoveringPartialOpts(cov []CellID, opts QueryOptions, req
 // SelectCoveringMulti): every covering cell becomes a key-range span
 // scattered into its query's accumulator, so K overlapping coverings
 // cost one traversal instead of K. Each returned accumulator is
-// bit-identical to QueryCoveringPartial on its covering alone —
-// including SUM/AVG — which is what lets the join operator promise
-// equivalence with N sequential queries. The multi kernel reads the
-// aggregate arrays directly: it neither probes nor warms the query
-// cache (result caching for joins lives at the store layer).
+// bit-identical to QueryCoveringPartialOpts (cache disabled) on its
+// covering alone — including SUM/AVG — which is what lets the join
+// operator promise equivalence with N sequential queries. The multi
+// kernel reads the aggregate arrays directly: it neither probes nor
+// warms the query cache (result caching for joins lives at the store
+// layer).
 func (g *GeoBlock) QueryCoveringMultiPartial(covs [][]CellID, reqs ...AggRequest) ([]*Accumulator, error) {
 	specs, err := resolveSpecs(g.inner.Schema(), reqs)
 	if err != nil {
@@ -502,8 +454,7 @@ type JoinInfo struct {
 // the aggregate arrays once, scattering into per-polygon accumulators.
 // Results align positionally with polys and each is bit-identical to
 // QueryOpts on that polygon alone with the cache disabled (the multi
-// kernel reads the aggregate arrays directly). opts.Workers is ignored —
-// the parallelism is across polygons, not within one.
+// kernel reads the aggregate arrays directly).
 func (g *GeoBlock) JoinOpts(polys []*Polygon, opts QueryOptions, reqs ...AggRequest) ([]Result, JoinInfo, error) {
 	target, err := g.plan(opts)
 	if err != nil {

@@ -227,11 +227,11 @@ func TestClusterEquivalence(t *testing.T) {
 					}
 					assertSame(t, got, want, fmt.Sprintf("rect %d maxErr=%g", i, maxErr))
 				}
-				wants, err := control.QueryBatchOpts(polys[:5], qo, testReqs...)
+				wants, _, err := control.Join(polys[:5], qo, testReqs...)
 				if err != nil {
 					t.Fatalf("control batch: %v", err)
 				}
-				gots, err := co.QueryBatch(ctx, "taxi", polys[:5], qo, testReqs)
+				gots, _, err := co.Join(ctx, "taxi", polys[:5], qo, testReqs)
 				if err != nil {
 					t.Fatalf("cluster batch: %v", err)
 				}

@@ -185,37 +185,6 @@ func (c *Coordinator) QueryRect(ctx context.Context, name string, r geom.Rect, o
 	return c.execute(ctx, d, name, plan, opts, reqs)
 }
 
-// QueryBatch answers one query per polygon, concurrently, positionally
-// aligned with polys. Per-element errors fail the batch (matching the
-// single-node batch contract).
-func (c *Coordinator) QueryBatch(ctx context.Context, name string, polys []*geom.Polygon, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) ([]geoblocks.Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	d, ok := c.store.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
-	}
-	results := make([]geoblocks.Result, len(polys))
-	errs := make([]error, len(polys))
-	var wg sync.WaitGroup
-	for i, poly := range polys {
-		wg.Add(1)
-		go func(i int, poly *geom.Polygon) {
-			defer wg.Done()
-			plan := d.PlanCover(poly, opts.MaxError)
-			results[i], errs[i] = c.execute(ctx, d, name, plan, opts, reqs)
-		}(i, poly)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}
-
 // Join answers a polygon join cluster-wide: the shared-grid plan is
 // computed once on the coordinator's copy of the dataset (one level, one
 // classification pass — PlanJoin), then each polygon's planned covering

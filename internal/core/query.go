@@ -274,8 +274,8 @@ func (b *GeoBlock) SelectCovering(cov []cellid.ID, specs []AggSpec) (Result, err
 // selectCoveringInto is the serial SELECT kernel: it folds one
 // (sub-)covering into acc and returns the number of cell aggregates
 // visited. SelectCovering runs it over the whole covering;
-// SelectCoveringParallel runs one instance per worker over contiguous
-// covering chunks and merges the accumulators.
+// SelectCoveringPartial stops before finalisation so a sharded router can
+// merge per-shard accumulators.
 func (b *GeoBlock) selectCoveringInto(acc *accumulator, cov []cellid.ID) int {
 	visited := 0
 	cursor := 0

@@ -1,14 +1,15 @@
 package experiments
 
 // PR2 is the perf snapshot for the concurrent serving core: on the same
-// level-sweep workload as PR1 it measures (a) aggregate query throughput
+// level-sweep workload as PR1 it measures aggregate query throughput
 // (queries/sec) with 1..GOMAXPROCS worker goroutines hammering one block —
-// plain and through the lock-light BlockQC cache — and (b) the latency of
-// SelectCoveringParallel, which fans one huge covering out across
-// workers. The serial SelectCovering latency is re-measured per level so
-// BENCH_PR2.json can be diffed against BENCH_PR1.json to confirm the
-// refactor left the single-threaded path unchanged. cmd/geobench
-// serialises the points to BENCH_PR2.json via -perf-json -parallel.
+// plain and through the lock-light BlockQC cache. The serial
+// SelectCovering latency is re-measured per level so the snapshot can be
+// diffed against BENCH_PR1.json to confirm the single-threaded path is
+// unchanged. cmd/geobench serialises the points via -perf-json -parallel.
+// The committed BENCH_PR2.json predates the removal of the intra-block
+// parallel kernel and still carries its parallel_select_ns and
+// speedup_parallel_vs_serial columns as a historical record.
 
 import (
 	"fmt"
@@ -35,12 +36,9 @@ type PR2Point struct {
 	QPSPlain  float64 `json:"qps_plain"`
 	QPSCached float64 `json:"qps_cached"`
 	// SerialSelectNS is the single-threaded big-covering SELECT latency
-	// (same measurement as PR1's select_prefix_ns); ParallelSelectNS is
-	// SelectCoveringParallel over the same covering at this worker count.
-	SerialSelectNS   int64   `json:"serial_select_ns"`
-	ParallelSelectNS int64   `json:"parallel_select_ns"`
-	SpeedupParallel  float64 `json:"speedup_parallel_vs_serial"`
-	ScalingPlain     float64 `json:"scaling_plain_vs_1g"`
+	// (same measurement as PR1's select_prefix_ns).
+	SerialSelectNS int64   `json:"serial_select_ns"`
+	ScalingPlain   float64 `json:"scaling_plain_vs_1g"`
 }
 
 // pr2Goroutines returns the goroutine counts of the sweep: powers of two
@@ -102,10 +100,10 @@ func PR2Perf(cfg Config) ([]*Table, []PR2Point) {
 
 	tbl := &Table{
 		ID:    "pr2",
-		Title: "Concurrent serving: queries/sec vs goroutines, parallel SELECT fan-out (clustered taxi workload)",
-		Note: fmt.Sprintf("GOMAXPROCS=%d; qps over the neighborhood covering mix, parallel/serial over the 50%%-selectivity covering",
+		Title: "Concurrent serving: queries/sec vs goroutines (clustered taxi workload)",
+		Note: fmt.Sprintf("GOMAXPROCS=%d; qps over the neighborhood covering mix, serial latency over the 50%%-selectivity covering",
 			runtime.GOMAXPROCS(0)),
-		Header: []string{"level", "g", "qps plain", "qps cached", "serial us", "parallel us", "par speedup", "scale vs 1g"},
+		Header: []string{"level", "g", "qps plain", "qps cached", "serial us", "scale vs 1g"},
 	}
 	var points []PR2Point
 	for _, level := range pr2Levels {
@@ -116,7 +114,7 @@ func PR2Perf(cfg Config) ([]*Table, []PR2Point) {
 		c := cover.MustCoverer(raw.Domain(), cover.DefaultOptions(level))
 
 		// Mixed workload: the neighborhood polygons drive throughput; the
-		// 50%-selectivity rectangle drives the fan-out latency (same
+		// 50%-selectivity rectangle drives the serial latency (same
 		// covering as PR1).
 		polys := workload.Neighborhoods(raw.Spec.Bound, 7)
 		covs := make([][]cellid.ID, len(polys))
@@ -153,20 +151,17 @@ func PR2Perf(cfg Config) ([]*Table, []PR2Point) {
 					panic(err)
 				}
 			})
-			parallelNS := measure(func() { sink, _ = blk.SelectCoveringParallel(bigCov, specs, g) })
 			if g == gs[0] {
 				qps1 = qpsPlain
 			}
 
 			p := PR2Point{
-				Level:            level,
-				Goroutines:       g,
-				QPSPlain:         qpsPlain,
-				QPSCached:        qpsCached,
-				SerialSelectNS:   serialNS.Nanoseconds(),
-				ParallelSelectNS: parallelNS.Nanoseconds(),
-				SpeedupParallel:  float64(serialNS) / float64(parallelNS),
-				ScalingPlain:     qpsPlain / qps1,
+				Level:          level,
+				Goroutines:     g,
+				QPSPlain:       qpsPlain,
+				QPSCached:      qpsCached,
+				SerialSelectNS: serialNS.Nanoseconds(),
+				ScalingPlain:   qpsPlain / qps1,
 			}
 			points = append(points, p)
 			tbl.AddRow(
@@ -174,8 +169,7 @@ func PR2Perf(cfg Config) ([]*Table, []PR2Point) {
 				fmt.Sprintf("%d", g),
 				fmt.Sprintf("%.0f", qpsPlain),
 				fmt.Sprintf("%.0f", qpsCached),
-				us(serialNS), us(parallelNS),
-				fmt.Sprintf("%.2fx", p.SpeedupParallel),
+				us(serialNS),
 				fmt.Sprintf("%.2fx", p.ScalingPlain),
 			)
 		}

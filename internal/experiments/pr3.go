@@ -6,10 +6,11 @@ package experiments
 // up to 16 shards), then measures aggregate query throughput at
 // 1..GOMAXPROCS client goroutines through the store router against the
 // raw single-block kernel, over a mixed shard-local / cross-shard polygon
-// workload, plus the per-query latency of the batch endpoint path. The
-// shard-level-0 rows quantify the router's own overhead: a one-shard
-// store pays one covering split and no merge. cmd/geobench serialises
-// the points to BENCH_PR3.json via -perf-json -sharded.
+// workload, plus the per-query latency of the batch form (one Join over
+// every workload polygon, covering included). The shard-level-0 rows
+// quantify the router's own overhead: a one-shard store pays one
+// covering split and no merge. cmd/geobench serialises the points to
+// BENCH_PR3.json via -perf-json -sharded.
 
 import (
 	"fmt"
@@ -40,7 +41,9 @@ type PR3Point struct {
 	// ScalingVs1G is QPSStore relative to the 1-goroutine store run.
 	ScalingVs1G float64 `json:"scaling_vs_1g"`
 	// BatchPerQueryNS is the per-query latency of answering the whole
-	// workload through one QueryBatchCoverings call.
+	// workload's polygons through one Join call. Unlike the throughput
+	// columns it includes the covering; BENCH_PR3.json predates that and
+	// measured pre-computed coverings.
 	BatchPerQueryNS int64 `json:"batch_per_query_ns"`
 }
 
@@ -99,11 +102,11 @@ func PR3Perf(cfg Config) ([]*Table, []PR3Point) {
 		}
 
 		batchNS := measure(func() {
-			if _, err := ds.QueryBatchCoverings(covs, reqs...); err != nil {
+			if _, _, err := ds.Join(polys, geoblocks.QueryOptions{}, reqs...); err != nil {
 				panic(err)
 			}
 		})
-		batchPerQuery := batchNS.Nanoseconds() / int64(len(covs))
+		batchPerQuery := batchNS.Nanoseconds() / int64(len(polys))
 
 		var qps1 float64
 		for _, g := range gs {

@@ -211,16 +211,12 @@ func (s *server) handleClusterQuery(w http.ResponseWriter, r *http.Request, req 
 		rj := toResultJSON(res)
 		resp.Result = &rj
 	default:
-		polys := make([]*geom.Polygon, len(req.Polygons))
-		for i, ring := range req.Polygons {
-			poly, err := parseRing(ring)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, "polygons[%d]: %v", i, err)
-				return
-			}
-			polys[i] = poly
+		polys, err := parseRings(req.Polygons)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
 		}
-		results, err := co.QueryBatch(ctx, req.Dataset, polys, opts, reqs)
+		results, _, err := co.Join(ctx, req.Dataset, polys, opts, reqs)
 		if err != nil {
 			clusterErrStatus(w, err)
 			return

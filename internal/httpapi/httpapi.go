@@ -260,35 +260,26 @@ type queryRequest struct {
 	Polygon [][2]float64 `json:"polygon,omitempty"`
 	// Rect is [minX, minY, maxX, maxY].
 	Rect *[4]float64 `json:"rect,omitempty"`
-	// Polygons is the batch form: one ring per query, answered with one
-	// shared covering pass.
+	// Polygons is the batch form: one ring per query, answered by the
+	// join operator exactly as /v1/join answers the same rings.
 	Polygons [][][2]float64 `json:"polygons,omitempty"`
 	Aggs     []aggJSON      `json:"aggs"`
 	// MaxError is the acceptable spatial error bound in domain units; the
 	// planner answers at the coarsest pyramid level satisfying it (0 =
-	// exact). Applies to every form, batch included.
+	// base level; the result's error_bound reports what was achieved).
+	// Applies to every form, batch included.
 	MaxError float64 `json:"max_error,omitempty"`
-	// Workers > 1 executes each query's covering with that many
-	// goroutines (bypassing the query cache); 0 is the serial default.
-	Workers int `json:"workers,omitempty"`
 	// NoCache answers directly from the aggregate arrays even when the
 	// dataset carries query caches.
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
-// maxQueryWorkers caps the per-request parallel fan-out a client may ask
-// for; anything larger is a request error, not a bigger goroutine pool.
-const maxQueryWorkers = 256
-
-// options validates the planner knobs of a query request and converts
-// them to geoblocks.QueryOptions.
-func (q queryRequest) options() (geoblocks.QueryOptions, error) {
-	if q.Workers < 0 || q.Workers > maxQueryWorkers {
-		return geoblocks.QueryOptions{}, fmt.Errorf("workers must be in [0, %d], got %d", maxQueryWorkers, q.Workers)
-	}
-	opts := geoblocks.QueryOptions{MaxError: q.MaxError, Workers: q.Workers, DisableCache: q.NoCache}
+// queryOptions validates the planner knobs shared by /v1/query and
+// /v1/join and converts them to geoblocks.QueryOptions.
+func queryOptions(maxError float64, noCache bool) (geoblocks.QueryOptions, error) {
+	opts := geoblocks.QueryOptions{MaxError: maxError, DisableCache: noCache}
 	if err := opts.Validate(); err != nil {
-		return geoblocks.QueryOptions{}, fmt.Errorf("max_error must be finite and >= 0, got %v", q.MaxError)
+		return geoblocks.QueryOptions{}, fmt.Errorf("max_error must be finite and >= 0, got %v", maxError)
 	}
 	return opts, nil
 }
@@ -308,6 +299,20 @@ func parseRing(ring [][2]float64) (*geom.Polygon, error) {
 		pts[i] = geom.Pt(v[0], v[1])
 	}
 	return geom.TryPolygon(pts)
+}
+
+// parseRings parses the rings of a multi-polygon request, naming the
+// first malformed one.
+func parseRings(rings [][][2]float64) ([]*geom.Polygon, error) {
+	polys := make([]*geom.Polygon, len(rings))
+	for i, ring := range rings {
+		poly, err := parseRing(ring)
+		if err != nil {
+			return nil, fmt.Errorf("polygons[%d]: %w", i, err)
+		}
+		polys[i] = poly
+	}
+	return polys, nil
 }
 
 // queryStatus maps a query error to an HTTP status: schema errors are the
@@ -350,6 +355,10 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "polygons must not be empty")
 		return
 	}
+	if len(req.Polygons) > maxJoinPolygons {
+		writeError(w, http.StatusBadRequest, "polygons is capped at %d, got %d", maxJoinPolygons, len(req.Polygons))
+		return
+	}
 	if len(req.Aggs) == 0 {
 		writeError(w, http.StatusBadRequest, "missing aggs")
 		return
@@ -363,7 +372,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		reqs[i] = ar
 	}
-	opts, err := req.options()
+	opts, err := queryOptions(req.MaxError, req.NoCache)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -403,16 +412,12 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rj := toResultJSON(res)
 		resp.Result = &rj
 	default:
-		polys := make([]*geom.Polygon, len(req.Polygons))
-		for i, ring := range req.Polygons {
-			poly, err := parseRing(ring)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, "polygons[%d]: %v", i, err)
-				return
-			}
-			polys[i] = poly
+		polys, err := parseRings(req.Polygons)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
 		}
-		results, err := d.QueryBatchOpts(polys, opts, reqs...)
+		results, _, err := d.Join(polys, opts, reqs...)
 		if err != nil {
 			writeError(w, queryStatus(err), "query: %v", err)
 			return

@@ -204,18 +204,18 @@ func TestQueryErrors(t *testing.T) {
 		{"degenerate polygon", `{"dataset":"taxi","polygon":[[0,0],[1,1]],"aggs":[{"func":"count"}]}`, http.StatusBadRequest},
 		{"degenerate batch polygon", `{"dataset":"taxi","polygons":[[[0,0],[1,1]]],"aggs":[{"func":"count"}]}`, http.StatusBadRequest},
 		{"empty batch", `{"dataset":"taxi","polygons":[],"aggs":[{"func":"count"}]}`, http.StatusBadRequest},
+		// The batch form inherits the join operator's polygon cap.
+		{"batch over polygon cap", `{"dataset":"taxi","polygons":[` +
+			strings.Repeat(`[[0,0],[1,0],[1,1],[0,1]],`, maxJoinPolygons) +
+			`[[0,0],[1,0],[1,1],[0,1]]],"aggs":[{"func":"count"}]}`, http.StatusBadRequest},
 		// Planner options: max_error must be a finite non-negative JSON
 		// number (JSON cannot carry NaN/Inf — a string stand-in is a type
-		// error, caught by the decoder) and workers must stay within the
-		// daemon's fan-out cap. Bad options are rejected on the batch form
-		// exactly like on the single forms.
+		// error, caught by the decoder). Bad options are rejected on the
+		// batch form exactly like on the single forms.
 		{"negative max_error", `{"dataset":"taxi","rect":[0,0,1,1],"max_error":-0.5,"aggs":[{"func":"count"}]}`, http.StatusBadRequest},
 		{"NaN max_error", `{"dataset":"taxi","rect":[0,0,1,1],"max_error":"NaN","aggs":[{"func":"count"}]}`, http.StatusBadRequest},
 		{"Inf max_error", `{"dataset":"taxi","rect":[0,0,1,1],"max_error":"+Inf","aggs":[{"func":"count"}]}`, http.StatusBadRequest},
-		{"negative workers", `{"dataset":"taxi","rect":[0,0,1,1],"workers":-1,"aggs":[{"func":"count"}]}`, http.StatusBadRequest},
-		{"huge workers", `{"dataset":"taxi","rect":[0,0,1,1],"workers":100000,"aggs":[{"func":"count"}]}`, http.StatusBadRequest},
 		{"negative max_error on batch", `{"dataset":"taxi","polygons":[[[0,0],[1,0],[1,1],[0,1]]],"max_error":-1,"aggs":[{"func":"count"}]}`, http.StatusBadRequest},
-		{"bad workers on batch", `{"dataset":"taxi","polygons":[[[0,0],[1,0],[1,1],[0,1]]],"workers":-7,"aggs":[{"func":"count"}]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -155,9 +155,9 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		}
 		reqs[i] = ar
 	}
-	opts := geoblocks.QueryOptions{MaxError: req.MaxError, DisableCache: req.NoCache}
-	if err := opts.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "max_error must be finite and >= 0, got %v", req.MaxError)
+	opts, err := queryOptions(req.MaxError, req.NoCache)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
@@ -169,18 +169,13 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var results []geoblocks.Result
 	var stats store.JoinStats
-	var err error
 	if req.Window != nil {
 		results, stats, err = d.JoinRects(req.Window.rects(), opts, reqs...)
 	} else {
-		polys := make([]*geom.Polygon, len(req.Polygons))
-		for i, ring := range req.Polygons {
-			poly, perr := parseRing(ring)
-			if perr != nil {
-				writeError(w, http.StatusBadRequest, "polygons[%d]: %v", i, perr)
-				return
-			}
-			polys[i] = poly
+		polys, perr := parseRings(req.Polygons)
+		if perr != nil {
+			writeError(w, http.StatusBadRequest, "%v", perr)
+			return
 		}
 		results, stats, err = d.Join(polys, opts, reqs...)
 	}
@@ -213,14 +208,10 @@ func (s *server) handleClusterJoin(w http.ResponseWriter, r *http.Request, req j
 			polys[i] = rc.Polygon()
 		}
 	} else {
-		polys = make([]*geom.Polygon, len(req.Polygons))
-		for i, ring := range req.Polygons {
-			poly, err := parseRing(ring)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, "polygons[%d]: %v", i, err)
-				return
-			}
-			polys[i] = poly
+		var err error
+		if polys, err = parseRings(req.Polygons); err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
 		}
 	}
 	results, stats, err := s.cfg.Cluster.Join(r.Context(), req.Dataset, polys, opts, reqs)

@@ -1,12 +1,15 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"geoblocks/internal/cluster"
 )
 
 func TestJoinEndpoint(t *testing.T) {
@@ -98,12 +101,76 @@ func TestJoinEndpoint(t *testing.T) {
 				t.Errorf("metrics missing %s", want)
 			}
 		}
-		// The polygon and window joins above pushed 15 regions through.
-		if !strings.Contains(text, `geoblocks_join_polygons_total{dataset="taxi"} 15`) {
+		// The polygon and window joins above pushed 15 regions through,
+		// and the /v1/query batch twin of the polygon join 3 more: the
+		// batch form is answered by the join operator.
+		if !strings.Contains(text, `geoblocks_join_polygons_total{dataset="taxi"} 18`) {
 			t.Errorf("join polygon counter not cumulative: %s",
 				text[strings.Index(text, "geoblocks_join_"):])
 		}
 	})
+}
+
+// TestQueryBatchMatchesJoin pins that the /v1/query "polygons" form is
+// the join: for the same rings, aggregates and options its results equal
+// the /v1/join results byte for byte (values, level and error_bound),
+// on a single node and through the cluster coordinator.
+func TestQueryBatchMatchesJoin(t *testing.T) {
+	const rings = `[
+		[[-74.05,40.60],[-73.85,40.60],[-73.85,40.85],[-74.05,40.85]],
+		[[-74.00,40.70],[-73.95,40.70],[-73.95,40.75],[-74.00,40.75]],
+		[[-73.99,40.72],[-73.90,40.71],[-73.93,40.80]],
+		[[-74.05,40.60],[-73.85,40.60],[-73.85,40.85],[-74.05,40.85]],
+		[[-80,40],[-79,40],[-79,41],[-80,41]]
+	]`
+	const aggs = `[{"func":"count"},{"func":"sum","col":"fare_amount"},{"func":"min","col":"fare_amount"},` +
+		`{"func":"max","col":"trip_distance"},{"func":"avg","col":"fare_amount"}]`
+
+	st := testStore(t)
+	co, err := cluster.New(st, &cluster.Config{Epoch: 1, Nodes: []cluster.Node{{Name: "self", Addr: "127.0.0.1:1"}}}, "self")
+	if err != nil {
+		t.Fatalf("cluster.New: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"single node", Config{}},
+		{"coordinator", Config{Cluster: co, Coordinator: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewServer(NewHandler(st, tc.cfg))
+			defer ts.Close()
+			for _, opt := range []string{``, `,"max_error":0.002`, `,"no_cache":true`} {
+				body := `{"dataset":"taxi","polygons":` + rings + `,"aggs":` + aggs + opt + `}`
+				var jr, qr struct {
+					Results json.RawMessage `json:"results"`
+				}
+				for _, ep := range []struct {
+					path string
+					into any
+				}{{"/v1/join", &jr}, {"/v1/query", &qr}} {
+					resp, data := postJSON(t, ts, ep.path, body)
+					if resp.StatusCode != http.StatusOK {
+						t.Fatalf("%s%s: status %d: %s", ep.path, opt, resp.StatusCode, data)
+					}
+					if err := json.Unmarshal(data, ep.into); err != nil {
+						t.Fatalf("%s%s: unmarshal: %v", ep.path, opt, err)
+					}
+				}
+				if !bytes.Equal(qr.Results, jr.Results) {
+					t.Fatalf("options %q: /v1/query results\n%s\ndiffer from /v1/join\n%s", opt, qr.Results, jr.Results)
+				}
+				var results []resultJSON
+				if err := json.Unmarshal(qr.Results, &results); err != nil {
+					t.Fatalf("decode results: %v", err)
+				}
+				if len(results) != 5 || results[0].Count == 0 || results[4].Count != 0 {
+					t.Fatalf("options %q: implausible results %s", opt, qr.Results)
+				}
+			}
+		})
+	}
 }
 
 func TestJoinEndpointErrors(t *testing.T) {

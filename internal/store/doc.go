@@ -1,7 +1,8 @@
 // Package store is the serving tier above the GeoBlock library: a
 // registry of named datasets, each spatially sharded into multiple
-// GeoBlocks by top-level cell prefix, with a router that answers polygon,
-// rectangle and batch aggregate queries across the shards.
+// GeoBlocks by top-level cell prefix, with a router that answers polygon
+// and rectangle aggregate queries, and multi-polygon joins (join.go),
+// across the shards.
 //
 // # Sharding
 //

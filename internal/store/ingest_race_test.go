@@ -115,8 +115,8 @@ func TestIngestRace(t *testing.T) {
 						geoblocks.RegularPolygon(geom.Pt(rng.Float64()*100, rng.Float64()*100), 5+rng.Float64()*15, 5),
 						geoblocks.RegularPolygon(geom.Pt(rng.Float64()*100, rng.Float64()*100), 5+rng.Float64()*15, 6),
 					}
-					if _, err := d.QueryBatchOpts(polys, geoblocks.QueryOptions{MaxError: 0.3}, testReqs...); err != nil {
-						t.Errorf("querier %d: batch: %v", id, err)
+					if _, _, err := d.Join(polys, geoblocks.QueryOptions{MaxError: 0.3}, testReqs...); err != nil {
+						t.Errorf("querier %d: join: %v", id, err)
 						return
 					}
 				}

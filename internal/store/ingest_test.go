@@ -143,7 +143,7 @@ func TestIngestEquivalenceRandomized(t *testing.T) {
 						t.Fatalf("op %d: ref rect: %v", op, err)
 					}
 					assertEquivalent(t, got, want, "rect")
-				case 5: // batch query
+				case 5: // batch query (the join operator)
 					refresh()
 					polys := make([]*geom.Polygon, 4)
 					for i := range polys {
@@ -151,11 +151,11 @@ func TestIngestEquivalenceRandomized(t *testing.T) {
 							geom.Pt(rng.Float64()*100, rng.Float64()*100), 1+rng.Float64()*20, 4)
 					}
 					opts := geoblocks.QueryOptions{MaxError: maxErrs[rng.Intn(len(maxErrs))]}
-					got, err := live.QueryBatchOpts(polys, opts, testReqs...)
+					got, _, err := live.Join(polys, opts, testReqs...)
 					if err != nil {
 						t.Fatalf("op %d: batch: %v", op, err)
 					}
-					want, err := ref.QueryBatchOpts(polys, opts, testReqs...)
+					want, _, err := ref.Join(polys, opts, testReqs...)
 					if err != nil {
 						t.Fatalf("op %d: ref batch: %v", op, err)
 					}

@@ -21,10 +21,10 @@ import (
 // per-polygon partials merge in ascending shard order, base before
 // delta, exactly the order the sequential Query path uses. Answers are
 // therefore bit-identical to N sequential Query calls for COUNT/MIN/MAX
-// (and on the serial uncached path for SUM too — the multi kernel
-// combines each polygon's ranges in the same sequence); SUM stays
-// within the documented reassociation bound whenever any path involved
-// re-associates (block caches, parallel kernels). join_test.go pins the
+// (and on the uncached path for SUM too — the multi kernel combines
+// each polygon's ranges in the same sequence); SUM stays within the
+// documented reassociation bound whenever the sequential path
+// re-associates (per-shard block caches). join_test.go pins the
 // equivalence with a randomized property suite.
 
 // JoinStats describes one join call: the shared plan's shape and the
@@ -71,10 +71,8 @@ func (s JoinStats) InteriorFraction() float64 {
 // Join answers one aggregate query per polygon in a single pass: plan
 // once, cover against the shared grid, fan out per shard through the
 // multi-accumulator kernel, merge per-polygon partials in shard order.
-// Results align positionally with polys. Joins execute on the serial
-// kernel regardless of opts.Workers (the multi kernel is the
-// parallelism — across polygons, not within one); opts.MaxError plans
-// the shared level and opts.DisableCache bypasses the result cache.
+// Results align positionally with polys. opts.MaxError plans the shared
+// level and opts.DisableCache bypasses the result cache.
 func (d *Dataset) Join(polys []*geom.Polygon, opts geoblocks.QueryOptions, reqs ...geoblocks.AggRequest) ([]geoblocks.Result, JoinStats, error) {
 	// Deduplicate repeated polygons by exact ring content: each distinct
 	// geometry is planned, covered and aggregated once, and its result is
@@ -209,7 +207,7 @@ func (d *Dataset) join(regions []cover.Region, total int, opts geoblocks.QueryOp
 	// Per-polygon result-cache resolution: hits are final, memoized
 	// coverings skip classification, cold misses go through the shared
 	// grid. Hit/miss counters bump per element inside Lookup.
-	useCache := d.results != nil && resultCacheable(opts)
+	useCache := d.results != nil && !opts.DisableCache
 	var gen uint64
 	var tag string
 	var keys []resultcache.Key

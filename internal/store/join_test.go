@@ -290,9 +290,10 @@ func TestJoinStatsCounters(t *testing.T) {
 	}
 }
 
-// TestBatchAndJoinCacheCountedPerElement pins the satellite contract:
-// batch lookups and joins route through the result cache per element —
-// every polygon counts one hit or one miss, never one per call.
+// TestBatchAndJoinCacheCountedPerElement pins the result-cache contract
+// of the batch form (a join) and of single queries: both route through
+// the result cache per element — every polygon counts one hit or one
+// miss, never one per call — and share footprints.
 func TestBatchAndJoinCacheCountedPerElement(t *testing.T) {
 	d := buildDataset(t, "joincache", 6_000, 29, Options{Level: 11, ShardLevel: 2})
 	if err := d.EnableResultCache(1<<20, 0); err != nil {
@@ -301,24 +302,31 @@ func TestBatchAndJoinCacheCountedPerElement(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	polys := joinPolys(rng, 20)
 
-	if _, err := d.QueryBatchOpts(polys, geoblocks.QueryOptions{}, testReqs...); err != nil {
-		t.Fatalf("cold batch: %v", err)
+	_, jstats, err := d.Join(polys, geoblocks.QueryOptions{}, testReqs...)
+	if err != nil {
+		t.Fatalf("cold join: %v", err)
 	}
 	st := d.Stats().ResultCache
 	if st.Misses != uint64(len(polys)) || st.Hits != 0 {
-		t.Fatalf("cold batch: %d misses, %d hits, want %d/0", st.Misses, st.Hits, len(polys))
+		t.Fatalf("cold join: %d misses, %d hits, want %d/0", st.Misses, st.Hits, len(polys))
 	}
-	if _, err := d.QueryBatchOpts(polys, geoblocks.QueryOptions{}, testReqs...); err != nil {
-		t.Fatalf("warm batch: %v", err)
+	if jstats.CacheMisses != len(polys) || jstats.CacheHits != 0 {
+		t.Fatalf("cold join stats: %d misses, %d hits, want %d/0", jstats.CacheMisses, jstats.CacheHits, len(polys))
+	}
+
+	// Single queries share the footprints: each hits the entry the join
+	// stored.
+	for i, p := range polys {
+		if _, err := d.QueryOpts(p, geoblocks.QueryOptions{}, testReqs...); err != nil {
+			t.Fatalf("warm query %d: %v", i, err)
+		}
 	}
 	st = d.Stats().ResultCache
 	if st.Hits != uint64(len(polys)) {
-		t.Fatalf("warm batch: %d hits, want %d", st.Hits, len(polys))
+		t.Fatalf("warm queries: %d hits, want %d", st.Hits, len(polys))
 	}
 
-	// The join shares the same per-element accounting and footprints:
-	// it must hit every entry the batch stored.
-	_, jstats, err := d.Join(polys, geoblocks.QueryOptions{}, testReqs...)
+	_, jstats, err = d.Join(polys, geoblocks.QueryOptions{}, testReqs...)
 	if err != nil {
 		t.Fatalf("join: %v", err)
 	}
@@ -328,7 +336,7 @@ func TestBatchAndJoinCacheCountedPerElement(t *testing.T) {
 	}
 	st = d.Stats().ResultCache
 	if st.Hits != uint64(2*len(polys)) {
-		t.Fatalf("cache hits %d after warm batch + join, want %d", st.Hits, 2*len(polys))
+		t.Fatalf("cache hits %d after warm queries + join, want %d", st.Hits, 2*len(polys))
 	}
 
 	// DisableCache bypasses the result cache per element too.

@@ -63,11 +63,11 @@ func TestMappedEquivalence(t *testing.T) {
 		}
 	}
 
-	wantBatch, err := d.QueryBatch(polys, testReqs...)
+	wantBatch, _, err := d.Join(polys, geoblocks.QueryOptions{}, testReqs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotBatch, err := md.QueryBatch(polys, testReqs...)
+	gotBatch, _, err := md.Join(polys, geoblocks.QueryOptions{}, testReqs...)
 	if err != nil {
 		t.Fatal(err)
 	}

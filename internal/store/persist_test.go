@@ -82,13 +82,13 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 					t.Fatalf("first divergence at poly %d", i)
 				}
 			}
-			// Batch path, and for the cached variant a second pass so the
-			// warmed cache also answers identically.
-			wantBatch, err := d.QueryBatch(polys, testReqs...)
+			// Batch form (the join operator), and for the cached variant a
+			// second pass so the warmed cache also answers identically.
+			wantBatch, _, err := d.Join(polys, geoblocks.QueryOptions{}, testReqs...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotBatch, err := rd.QueryBatch(polys, testReqs...)
+			gotBatch, _, err := rd.Join(polys, geoblocks.QueryOptions{}, testReqs...)
 			if err != nil {
 				t.Fatal(err)
 			}

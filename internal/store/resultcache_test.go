@@ -78,9 +78,9 @@ func TestResultCacheEquivalence(t *testing.T) {
 				assertEquivalent(t, got, want, label)
 			}
 		}
-		// Batch path: hits come from the single-query entries, misses run
-		// through the batch executor — both must agree with the twin.
-		batch, err := cached.QueryBatchOpts(polys, opts, cacheTestReqs...)
+		// Batch form (a join): hits come from the single-query entries —
+		// they must agree with the twin.
+		batch, _, err := cached.Join(polys, opts, cacheTestReqs...)
 		if err != nil {
 			t.Fatalf("%s batch: %v", label, err)
 		}

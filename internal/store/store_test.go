@@ -116,9 +116,9 @@ func TestShardedEquivalence(t *testing.T) {
 			assertEquivalent(t, got, want, "rect query")
 		}
 
-		// Batch answers must align positionally and agree with the
-		// one-at-a-time path.
-		batch, err := sharded.QueryBatch(polys, testReqs...)
+		// Batch answers (the join operator) must align positionally and
+		// agree with the one-at-a-time path.
+		batch, _, err := sharded.Join(polys, geoblocks.QueryOptions{}, testReqs...)
 		if err != nil {
 			t.Fatalf("batch: %v", err)
 		}
@@ -148,10 +148,13 @@ func TestShardedEquivalenceCached(t *testing.T) {
 		c := geom.Pt(rng.Float64()*100, rng.Float64()*100)
 		polys = append(polys, geoblocks.RegularPolygon(c, 5+rng.Float64()*25, 6))
 	}
-	// Warm: query, refresh caches, then re-check equivalence through the
-	// now-populated tries.
-	if _, err := sharded.QueryBatch(polys, testReqs...); err != nil {
-		t.Fatalf("warm batch: %v", err)
+	// Warm: query (sequentially — the join bypasses the per-shard
+	// caches and records no statistics), refresh caches, then re-check
+	// equivalence through the now-populated tries.
+	for i, poly := range polys {
+		if _, err := sharded.QueryOpts(poly, geoblocks.QueryOptions{}, testReqs...); err != nil {
+			t.Fatalf("warm query %d: %v", i, err)
+		}
 	}
 	sharded.RefreshCaches()
 	st := sharded.Stats()
@@ -330,7 +333,7 @@ func TestUnknownColumn(t *testing.T) {
 	if _, err := d.QueryRect(testBound, geoblocks.Sum("nope")); err == nil {
 		t.Fatalf("unknown column accepted")
 	}
-	if _, err := d.QueryBatch([]*geom.Polygon{geoblocks.RegularPolygon(geom.Pt(50, 50), 30, 6)}, geoblocks.Sum("nope")); err == nil {
+	if _, _, err := d.Join([]*geom.Polygon{geoblocks.RegularPolygon(geom.Pt(50, 50), 30, 6)}, geoblocks.QueryOptions{}, geoblocks.Sum("nope")); err == nil {
 		t.Fatalf("unknown column accepted in batch")
 	}
 }

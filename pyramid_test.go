@@ -235,12 +235,19 @@ func TestPyramidBoundGuarantee(t *testing.T) {
 					if pass == 0 {
 						cold[me] = single
 					}
-					batch, err := ds.QueryBatchOpts(polys, opts, reqs...)
+					// The batch form is the join operator: bit-identical
+					// to the single queries on cache-free shards; against
+					// cached single answers SUM/AVG may re-associate.
+					batch, _, err := ds.Join(polys, opts, reqs...)
 					if err != nil {
-						t.Fatalf("QueryBatchOpts: %v", err)
+						t.Fatalf("Join: %v", err)
 					}
 					for i := range batch {
-						if !sameResult(batch[i], single[i]) {
+						same := sameResult(batch[i], single[i])
+						if cfg.opts.CacheThreshold > 0 {
+							same = equivalentResults(batch[i], single[i], reqs)
+						}
+						if !same {
 							t.Fatalf("seed %d %s max_error %g: batch result %d differs from single", seed, cfg.name, me, i)
 						}
 						if batch[i].Level != single[i].Level || batch[i].ErrorBound != single[i].ErrorBound {
@@ -301,14 +308,6 @@ func TestPyramidBoundGuaranteePublicBlock(t *testing.T) {
 					}
 				}
 				checkEnvelope(t, d, poly, res, "public block")
-				// The parallel kernel must respect the same envelope.
-				pres, err := blk.QueryOpts(poly, geoblocks.QueryOptions{MaxError: me, Workers: 4}, reqs...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if pres.Count != res.Count || pres.Level != res.Level {
-					t.Fatalf("parallel planned query count/level mismatch")
-				}
 			}
 			// Rect form: the envelope for rectangles via their polygon.
 			r := geoblocks.Rect{Min: geoblocks.Pt(20, 45), Max: geoblocks.Pt(55, 80)}
@@ -407,9 +406,6 @@ func TestQueryOptionsValidation(t *testing.T) {
 			t.Errorf("Validate accepted MaxError %v", bad)
 		}
 	}
-	if err := (geoblocks.QueryOptions{MaxError: 0.5, Workers: -3}).Validate(); err != nil {
-		t.Errorf("Validate rejected negative workers (GOMAXPROCS convention): %v", err)
-	}
 
 	d := genPyramidData(500, 9)
 	schema := geoblocks.NewSchema("val", "signed")
@@ -421,41 +417,8 @@ func TestQueryOptionsValidation(t *testing.T) {
 	if _, err := ds.QueryOpts(poly, geoblocks.QueryOptions{MaxError: math.NaN()}, geoblocks.Count()); err == nil {
 		t.Error("store QueryOpts accepted NaN MaxError")
 	}
-	if _, err := ds.QueryBatchOpts([]*geom.Polygon{poly}, geoblocks.QueryOptions{MaxError: -2}, geoblocks.Count()); err == nil {
-		t.Error("store QueryBatchOpts accepted negative MaxError")
-	}
-}
-
-// TestStoreWorkersEquivalence pins that the Workers option reaches the
-// shard partials through the routed store path: COUNT/MIN/MAX must be
-// bit-identical to the serial kernel at every planned level (SUM may
-// re-associate, so it is excluded here; the envelope suite covers it).
-func TestStoreWorkersEquivalence(t *testing.T) {
-	d := genPyramidData(6000, 31)
-	schema := geoblocks.NewSchema("val", "signed")
-	ds, err := store.Build("t", testBound, schema, d.pts, d.cols,
-		store.Options{Level: 12, ShardLevel: 1, PyramidLevels: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dom := cellid.MustDomain(testBound)
-	reqs := []geoblocks.AggRequest{geoblocks.Count(), geoblocks.Min("signed"), geoblocks.Max("signed")}
-	for _, me := range []float64{0, dom.CellDiagonal(10)} {
-		for _, workers := range []int{-1, 4} {
-			for _, poly := range testPolys(t, 33) {
-				serial, err := ds.QueryOpts(poly, geoblocks.QueryOptions{MaxError: me}, reqs...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				par, err := ds.QueryOpts(poly, geoblocks.QueryOptions{MaxError: me, Workers: workers}, reqs...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameResult(par, serial) || par.Level != serial.Level {
-					t.Fatalf("workers=%d max_error %g: %+v != serial %+v", workers, me, par, serial)
-				}
-			}
-		}
+	if _, _, err := ds.Join([]*geom.Polygon{poly}, geoblocks.QueryOptions{MaxError: -2}, geoblocks.Count()); err == nil {
+		t.Error("store Join accepted negative MaxError")
 	}
 }
 
